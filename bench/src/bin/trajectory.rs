@@ -39,12 +39,11 @@
 //! validator re-checks it on the committed document.
 //!
 //! With `--control-plane` it instead emits `BENCH_10.json`: the
-//! event-driven control plane's three-arm comparison at a deliberately
+//! event-driven control plane's two-arm comparison at a deliberately
 //! *long* coordinator period — `polling` (edge-triggered wakes off, the
 //! pre-doorbell behaviour: submissions wait in the ring for the next
-//! tick), `doorbell` (every submit / release / demand edge rings the
-//! coordinator awake), and `doorbell-adaptive` (wakes plus the AIMD knob
-//! controller). Each arm measures wake-to-first-task end to end
+//! tick) and `doorbell` (every submit / release / demand edge rings the
+//! coordinator awake). Each arm measures wake-to-first-task end to end
 //! (idle runtime, one probe request, submit → executed) and the serving
 //! request-sojourn tail under open-loop load; the headline block records
 //! whether the doorbell beat the polling baseline on wake p99 and
@@ -61,8 +60,8 @@
 //! * `--task-trace` — run the tracing off/on comparison (`BENCH_6.json`);
 //! * `--serving` — run the open-loop serving sweep (`BENCH_7.json`);
 //! * `--fairness` — run the simulated fairness sweep (`BENCH_8.json`);
-//! * `--control-plane` — run the polling vs doorbell vs doorbell+adaptive
-//!   comparison (`BENCH_10.json`);
+//! * `--control-plane` — run the polling vs doorbell comparison
+//!   (`BENCH_10.json`);
 //! * `--fast` — smaller workload for CI smoke runs;
 //! * `--cores N` / `--reps N` / `--batch-limit N` — override the workload
 //!   shape for probing (the emitted config records what actually ran);
@@ -743,15 +742,13 @@ fn run_serving(sp: &ServeParams, out: &str) {
 struct ArmSpec {
     name: &'static str,
     event_driven: bool,
-    adaptive: bool,
 }
 
-/// The three arms, in the order the schema fixes: the polling baseline,
-/// then edge-triggered wakes, then wakes plus the adaptive controller.
-const CP_ARMS: [ArmSpec; 3] = [
-    ArmSpec { name: "polling", event_driven: false, adaptive: false },
-    ArmSpec { name: "doorbell", event_driven: true, adaptive: false },
-    ArmSpec { name: "doorbell-adaptive", event_driven: true, adaptive: true },
+/// The two arms, in the order the schema fixes: the polling baseline,
+/// then edge-triggered wakes.
+const CP_ARMS: [ArmSpec; 2] = [
+    ArmSpec { name: "polling", event_driven: false },
+    ArmSpec { name: "doorbell", event_driven: true },
 ];
 
 /// Parameters of the `--control-plane` comparison: the serving workload
@@ -781,9 +778,6 @@ fn cp_cfg(cp: &CpParams, arm: &ArmSpec, tracing: bool) -> RuntimeConfig {
     cfg.sleep_timeout = Some(cp.t_sleep);
     if !arm.event_driven {
         cfg = cfg.with_polling_only();
-    }
-    if arm.adaptive {
-        cfg = cfg.with_adaptive();
     }
     cfg
 }
@@ -826,12 +820,8 @@ fn cp_wake_probe(cp: &CpParams, arm: &ArmSpec) -> Vec<u64> {
 /// [`serve_corun`], the drain tail does *not* nudge `drain_submissions`
 /// by hand — admission stays on the arm's own control plane, so a
 /// polling arm pays its period in the tail too. Returns the makespan,
-/// per-program stats, total doorbell wakes, and p0's final knob values.
-#[allow(clippy::type_complexity)]
-fn cp_serve(
-    cp: &CpParams,
-    arm: &ArmSpec,
-) -> (Duration, Vec<ServeProgStats>, u64, (u32, Duration, usize)) {
+/// per-program stats and total doorbell wakes.
+fn cp_serve(cp: &CpParams, arm: &ArmSpec) -> (Duration, Vec<ServeProgStats>, u64) {
     let sp = &cp.sp;
     let table: Arc<dyn CoreTable> =
         Arc::new(LedgerTable::new(Arc::new(InProcessTable::new(sp.cores, 2))));
@@ -865,14 +855,13 @@ fn cp_serve(
     let makespan = start.elapsed();
 
     let doorbell_wakes = p0.metrics().doorbell_wakes + p1.metrics().doorbell_wakes;
-    let knobs = p0.knob_values();
     let collect = |rt: &Runtime, label: &str, load: LoadStats| ServeProgStats {
         label: label.to_string(),
         load,
         admitted: rt.metrics().requests_admitted,
         sojourn: rt.histograms().request_sojourn,
     };
-    (makespan, vec![collect(&p0, "p0", l0), collect(&p1, "p1", l1)], doorbell_wakes, knobs)
+    (makespan, vec![collect(&p0, "p0", l0), collect(&p1, "p1", l1)], doorbell_wakes)
 }
 
 /// The `--control-plane` mode: run [`CP_ARMS`] through the wake probe
@@ -890,7 +879,7 @@ fn run_control_plane(cp: &CpParams, out: &str) {
         let wake_p50 = dws_sim::quantile_nearest(&wake, 0.5);
         let wake_p99 = dws_sim::quantile_nearest(&wake, 0.99);
 
-        let (makespan, progs, doorbell_wakes, (k_sleep, k_period, k_batch)) = cp_serve(cp, arm);
+        let (makespan, progs, doorbell_wakes) = cp_serve(cp, arm);
         let admitted: u64 = progs.iter().map(|s| s.admitted).sum();
         let throughput = admitted as f64 / makespan.as_secs_f64();
         let mut req_p99_worst = 0u64;
@@ -915,29 +904,18 @@ fn run_control_plane(cp: &CpParams, out: &str) {
             })
             .collect();
         eprintln!(
-            "{:<18} wake p50 {wake_p50} µs p99 {wake_p99} µs | request p99 {req_p99_worst} µs, \
-             {admitted} admitted ({throughput:.0} req/s), {doorbell_wakes} doorbell wakes, \
-             knobs T_SLEEP {k_sleep} period {} µs batch {k_batch}",
+            "{:<9} wake p50 {wake_p50} µs p99 {wake_p99} µs | request p99 {req_p99_worst} µs, \
+             {admitted} admitted ({throughput:.0} req/s), {doorbell_wakes} doorbell wakes",
             arm.name,
-            k_period.as_micros(),
         );
         headline.push((wake_p99, req_p99_worst));
         arms.push(obj(vec![
             ("arm", Value::String(arm.name.into())),
             ("event_driven", Value::Bool(arm.event_driven)),
-            ("adaptive", Value::Bool(arm.adaptive)),
             ("doorbell_wakes", Value::U64(doorbell_wakes)),
             ("wake_p50_us", Value::U64(wake_p50)),
             ("wake_p99_us", Value::U64(wake_p99)),
             ("throughput_req_per_s", Value::F64(throughput)),
-            (
-                "knobs",
-                obj(vec![
-                    ("t_sleep", Value::U64(u64::from(k_sleep))),
-                    ("period_us", Value::U64(k_period.as_micros() as u64)),
-                    ("steal_batch", Value::U64(k_batch as u64)),
-                ]),
-            ),
             ("per_program", Value::Array(per_program)),
         ]));
     }

@@ -5,9 +5,8 @@
 //! tracing overhead + sojourn percentiles), `BENCH_7.json` with
 //! `--serving` (open-loop serving tail latency), `BENCH_8.json` with
 //! `--fairness` (simulated many-program fairness trajectory), and
-//! `BENCH_10.json` with `--control-plane` (polling vs doorbell vs
-//! doorbell+adaptive wake/sojourn comparison) at the repo
-//! root. The
+//! `BENCH_10.json` with `--control-plane` (polling vs doorbell
+//! wake/sojourn comparison) at the repo root. The
 //! benchmarks regenerate the paper's figures and measure the runtime
 //! substrates; run them with `cargo bench --workspace`.
 
@@ -666,21 +665,19 @@ pub fn validate_bench9_value(doc: &Value) -> Result<(), Vec<String>> {
 /// Validates a parsed `BENCH_10.json` document against the schema the
 /// `bench-trajectory --control-plane` mode emits: identification header,
 /// the workload configuration (idle-submit probes + open-loop serving
-/// load at a deliberately *long* coordinator period), and a three-arm
-/// comparison — `polling` (event-driven wakes off), `doorbell`
-/// (edge-triggered wakes), `doorbell-adaptive` (wakes + the AIMD knob
-/// controller). Beyond shape, the validator re-checks the run's internal
-/// consistency — the arms must appear in that exact order with flags
-/// matching their names, the polling arm must have recorded **zero**
-/// doorbell wakes (and the doorbell arms at least one), quantiles must
+/// load at a deliberately *long* coordinator period), and a two-arm
+/// comparison — `polling` (event-driven wakes off) and `doorbell`
+/// (edge-triggered wakes). Beyond shape, the validator re-checks the
+/// run's internal consistency — the arms must appear in that exact order
+/// with flags matching their names, the polling arm must have recorded
+/// **zero** doorbell wakes (and the doorbell arm at least one), quantiles must
 /// be monotone, arrival accounting must balance, and the headline block
 /// must quote the arm numbers it summarizes with verdict booleans that
 /// agree with them. An honest losing document is schema-valid (the CI
 /// gate judges the verdicts, not the validator). Returns every violation
 /// found, not just the first.
 pub fn validate_bench10_value(doc: &Value) -> Result<(), Vec<String>> {
-    const ARMS: [(&str, bool, bool); 3] =
-        [("polling", false, false), ("doorbell", true, false), ("doorbell-adaptive", true, true)];
+    const ARMS: [(&str, bool); 2] = [("polling", false), ("doorbell", true)];
 
     let mut errors = Vec::new();
     let e = &mut errors;
@@ -713,11 +710,11 @@ pub fn validate_bench10_value(doc: &Value) -> Result<(), Vec<String>> {
 
     let r = &doc["results"];
     // Arm lookups for the headline cross-checks below.
-    let mut wake_p99 = [None::<u64>; 3];
-    let mut req_p99 = [None::<u64>; 3];
+    let mut wake_p99 = [None::<u64>; 2];
+    let mut req_p99 = [None::<u64>; 2];
     match &r["arms"] {
         Value::Array(arms) if arms.len() == ARMS.len() => {
-            for (i, (arm, &(name, event_driven, adaptive))) in arms.iter().zip(&ARMS).enumerate() {
+            for (i, (arm, &(name, event_driven))) in arms.iter().zip(&ARMS).enumerate() {
                 let at = format!("arms[{i}]");
                 require(
                     arm["arm"].as_str() == Some(name),
@@ -728,11 +725,6 @@ pub fn validate_bench10_value(doc: &Value) -> Result<(), Vec<String>> {
                     matches!(arm["event_driven"], Value::Bool(b) if b == event_driven),
                     e,
                     &format!("{at}.event_driven must be {event_driven} for the {name} arm"),
-                );
-                require(
-                    matches!(arm["adaptive"], Value::Bool(b) if b == adaptive),
-                    e,
-                    &format!("{at}.adaptive must be {adaptive} for the {name} arm"),
                 );
                 for key in ["doorbell_wakes", "wake_p50_us", "wake_p99_us"] {
                     require(is_int(&arm[key]), e, &format!("{at}.{key} must be an integer"));
@@ -766,10 +758,6 @@ pub fn validate_bench10_value(doc: &Value) -> Result<(), Vec<String>> {
                 {
                     require(p50 <= p99, e, &format!("{at}: wake quantiles must be monotone"));
                     wake_p99[i] = Some(p99);
-                }
-                let k = &arm["knobs"];
-                for key in ["t_sleep", "period_us", "steal_batch"] {
-                    require(is_int(&k[key]), e, &format!("{at}.knobs.{key} must be an integer"));
                 }
                 match &arm["per_program"] {
                     Value::Array(progs) if !progs.is_empty() => {
@@ -839,8 +827,7 @@ pub fn validate_bench10_value(doc: &Value) -> Result<(), Vec<String>> {
             }
         }
         _ => e.push(format!(
-            "results.arms must be an array of exactly {} arms (polling, doorbell, \
-             doorbell-adaptive)",
+            "results.arms must be an array of exactly {} arms (polling, doorbell)",
             ARMS.len()
         )),
     }
@@ -1423,35 +1410,23 @@ mod tests {
                          "seed": 10, "fast": false},
               "results": {
                 "arms": [
-                  {"arm": "polling", "event_driven": false, "adaptive": false,
+                  {"arm": "polling", "event_driven": false,
                    "doorbell_wakes": 0, "wake_p50_us": 19000, "wake_p99_us": 39000,
                    "throughput_req_per_s": 950.0,
-                   "knobs": {"t_sleep": 16, "period_us": 40000, "steal_batch": 8},
                    "per_program": [
                      {"prog": 0, "label": "p0", "offered": 600, "submitted": 600,
                       "shed": 0, "fenced": 0, "admitted": 600,
                       "request_p50_us": 20000, "request_p99_us": 39500,
                       "request_p999_us": 40000}
                    ]},
-                  {"arm": "doorbell", "event_driven": true, "adaptive": false,
+                  {"arm": "doorbell", "event_driven": true,
                    "doorbell_wakes": 1200, "wake_p50_us": 150, "wake_p99_us": 900,
                    "throughput_req_per_s": 990.0,
-                   "knobs": {"t_sleep": 16, "period_us": 40000, "steal_batch": 8},
                    "per_program": [
                      {"prog": 0, "label": "p0", "offered": 600, "submitted": 600,
                       "shed": 0, "fenced": 0, "admitted": 600,
                       "request_p50_us": 300, "request_p99_us": 2500,
                       "request_p999_us": 8000}
-                   ]},
-                  {"arm": "doorbell-adaptive", "event_driven": true, "adaptive": true,
-                   "doorbell_wakes": 1100, "wake_p50_us": 140, "wake_p99_us": 850,
-                   "throughput_req_per_s": 995.0,
-                   "knobs": {"t_sleep": 32, "period_us": 9000, "steal_batch": 8},
-                   "per_program": [
-                     {"prog": 0, "label": "p0", "offered": 600, "submitted": 600,
-                      "shed": 0, "fenced": 0, "admitted": 600,
-                      "request_p50_us": 280, "request_p99_us": 2200,
-                      "request_p999_us": 7000}
                    ]}
                 ],
                 "headline": {
@@ -1521,9 +1496,12 @@ mod tests {
     #[test]
     fn bench10_arm_flags_must_match_the_arm_name() {
         let mut doc = valid_bench10_doc();
-        set_bench10_arm(&mut doc, 2, "adaptive", Value::Bool(false));
+        set_bench10_arm(&mut doc, 1, "event_driven", Value::Bool(false));
         let errs = validate_bench10_value(&doc).unwrap_err();
-        assert!(errs.iter().any(|m| m.contains("adaptive must be true")), "{errs:?}");
+        assert!(
+            errs.iter().any(|m| m.contains("event_driven must be true for the doorbell arm")),
+            "{errs:?}"
+        );
     }
 
     #[test]

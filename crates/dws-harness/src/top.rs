@@ -84,21 +84,19 @@ pub fn render_program_panel(label: &str, f: &TelemetryFrame, color: bool) -> Str
         f.queued_jobs(),
     ));
     out.push_str(&format!(
-        "  coord  N_b {}  N_a {}  N_w {}   supply {}f+{}r   plan {}+{}   woken {}   decisions {}\n",
-        c.n_b, c.n_a, c.n_w, c.n_f, c.n_r, c.planned_free, c.planned_reclaim, c.woken, c.decisions,
+        "  coord  N_b {}  N_a {}  N_w {}   supply {}f+{}r   plan {}+{}   woken {}   decisions {}   \
+         doorbell wakes {}\n",
+        c.n_b,
+        c.n_a,
+        c.n_w,
+        c.n_f,
+        c.n_r,
+        c.planned_free,
+        c.planned_reclaim,
+        c.woken,
+        c.decisions,
+        k.doorbell_wakes,
     ));
-    if c.knob_period_us > 0 {
-        // Live control-plane knobs (DESIGN §16.2): the configured
-        // constants unless the adaptive controller retuned them. Absent
-        // only in frames predating the knob gauges (period 0).
-        out.push_str(&format!(
-            "  knobs  T_SLEEP {}  period {}  batch {}   doorbell wakes {}\n",
-            c.knob_t_sleep,
-            fmt_ns(c.knob_period_us.saturating_mul(1_000)),
-            c.knob_steal_batch,
-            k.doorbell_wakes,
-        ));
-    }
     // Mean steal batch size = tasks moved / successful steal ops.
     let mean_batch =
         if k.steals_ok == 0 { 0.0 } else { k.tasks_stolen as f64 / k.steals_ok as f64 };
@@ -113,14 +111,20 @@ pub fn render_program_panel(label: &str, f: &TelemetryFrame, color: bool) -> Str
         k.wakes,
         k.cores_released,
     ));
-    if k.requests_admitted > 0 || k.requests_dropped > 0 || k.requests_fenced > 0 {
+    if k.requests_admitted > 0
+        || k.requests_dropped > 0
+        || k.requests_fenced > 0
+        || k.requests_abandoned > 0
+    {
         // Serving panel: ring admission totals plus the rolling
         // end-to-end request sojourn (client submit → exec-begin).
         out.push_str(&format!(
-            "  serve  admitted {}  dropped {}  fenced {}   request p50 {} p99 {} p999 {}\n",
+            "  serve  admitted {}  dropped {}  fenced {}  abandoned {}   \
+             request p50 {} p99 {} p999 {}\n",
             k.requests_admitted,
             k.requests_dropped,
             k.requests_fenced,
+            k.requests_abandoned,
             fmt_ns(f.latency.request_p50_ns),
             fmt_ns(f.latency.request_p99_ns),
             fmt_ns(f.latency.request_p999_ns),
@@ -247,9 +251,6 @@ mod tests {
                 planned_reclaim: 1,
                 woken: 2,
                 decisions: 33,
-                knob_t_sleep: 16,
-                knob_period_us: 10_000,
-                knob_steal_batch: 8,
             },
             counters: CounterSample {
                 steals_ok: 40,
@@ -286,28 +287,28 @@ mod tests {
         assert!(text.contains("plan 1+1"));
         assert!(text.contains("woken 2"));
         assert!(text.contains("decisions 33"));
-        assert!(text.contains("knobs  T_SLEEP 16  period 10ms  batch 8   doorbell wakes 0"));
+        assert!(text.contains("decisions 33   doorbell wakes 0"), "{text}");
         assert!(text.contains("steal p50 2us p99 65us"));
         assert!(text.contains("sojourn p50 16us p99 2ms"), "{text}");
         assert!(!text.contains('\x1b'), "no ANSI codes without color");
     }
 
     #[test]
-    fn knob_panel_tracks_adaptive_retuning_and_gates_on_legacy_frames() {
+    fn coord_line_carries_doorbell_wakes_and_serve_line_gates_on_abandoned() {
         let mut f = frame();
-        f.coord.knob_t_sleep = 64;
-        f.coord.knob_period_us = 1_250;
-        f.coord.knob_steal_batch = 32;
         f.counters.doorbell_wakes = 41;
         let text = render_program_panel("p", &f, false);
+        let coord = text.lines().find(|l| l.starts_with("  coord")).expect("coord line");
+        assert!(coord.ends_with("decisions 33   doorbell wakes 41"), "{text}");
+        assert!(!text.contains("serve"), "{text}");
+        // Abandonment alone is serving activity: the line appears and
+        // reports it beside the other admission failures.
+        f.counters.requests_abandoned = 2;
+        let text = render_program_panel("p", &f, false);
         assert!(
-            text.contains("knobs  T_SLEEP 64  period 1ms  batch 32   doorbell wakes 41"),
+            text.contains("serve  admitted 0  dropped 0  fenced 0  abandoned 2   request p50 -"),
             "{text}"
         );
-        // A pre-knob frame (period 0) renders no knob line at all.
-        f.coord.knob_period_us = 0;
-        let text = render_program_panel("p", &f, false);
-        assert!(!text.contains("knobs"), "{text}");
     }
 
     #[test]
@@ -335,7 +336,7 @@ mod tests {
         f.latency.request_p999_ns = 30_000_000;
         let text = render_program_panel("p", &f, false);
         assert!(
-            text.contains("serve  admitted 640  dropped 3  fenced 1"),
+            text.contains("serve  admitted 640  dropped 3  fenced 1  abandoned 0"),
             "admission totals shown: {text}"
         );
         assert!(text.contains("request p50 40us p99 9ms p999 30ms"), "{text}");

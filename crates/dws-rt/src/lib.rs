@@ -54,7 +54,6 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-mod adaptive;
 pub mod affinity;
 pub mod alloc_table;
 mod config;
@@ -80,9 +79,7 @@ pub use alloc_table::{
     InProcessTable, LedgerSnapshot, LedgerTable, ReapPass, TracedTable, DOORBELL_DEMAND,
     DOORBELL_RELEASE, DOORBELL_SHUTDOWN, DOORBELL_SUBMIT, DOORBELL_SURPLUS,
 };
-pub use config::{
-    AdaptiveConfig, Policy, RuntimeConfig, ServeConfig, TelemetryConfig, TraceConfig,
-};
+pub use config::{Policy, RuntimeConfig, ServeConfig, TelemetryConfig, TraceConfig};
 pub use coordinator::{eq1_wake_target, plan_wakes};
 pub use dws_deque::{Request, SubmitError, SubmitRing, TaskId};
 pub use join::join;

@@ -9,13 +9,12 @@
 use std::cell::Cell;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use dws_deque::{
     deque, Injector, Request, Steal, Stealer, SubmitError, SubmitRing, TaskId, Worker as Deque,
 };
 
-use crate::adaptive::Knobs;
 use crate::affinity;
 use crate::alloc_table::{
     CoreTable, InProcessTable, LedgerTable, DOORBELL_DEMAND, DOORBELL_RELEASE, DOORBELL_SHUTDOWN,
@@ -77,10 +76,6 @@ pub(crate) struct Registry {
     /// Serving mode: submission ring + request handler (None unless built
     /// via [`Runtime::serve`] / [`Runtime::serve_with_table`]).
     pub(crate) serving: Option<ServingState>,
-    /// Live knob values (`T_SLEEP`, coordinator period, steal-batch
-    /// limit): equal to the configured values unless the adaptive
-    /// controller retunes them (DESIGN §16.2).
-    pub(crate) knobs: Knobs,
 }
 
 impl Registry {
@@ -138,22 +133,8 @@ impl Registry {
         match self.effective_policy {
             Policy::Dws => {
                 for &w in &sleeping {
-                    let core = self.workers[w].core;
                     preempt_point("ensure-progress-legitimize");
-                    let got = if self.table.current(core) == Some(self.prog_id) {
-                        true
-                    } else if self.table.try_acquire_free(core, self.prog_id) {
-                        self.trace
-                            .record(LANE_SHARED, RtEvent::Acquire { prog: self.prog_id, core });
-                        true
-                    } else if self.table.try_reclaim(core, self.prog_id) {
-                        self.trace
-                            .record(LANE_SHARED, RtEvent::Reclaim { prog: self.prog_id, core });
-                        true
-                    } else {
-                        false
-                    };
-                    if got {
+                    if self.legitimize(self.workers[w].core, LANE_SHARED) {
                         self.wake_worker(w);
                         return;
                     }
@@ -188,15 +169,8 @@ impl Registry {
             return;
         };
         if self.effective_policy == Policy::Dws {
-            let core = self.workers[w].core;
             preempt_point("surplus-wake-legitimize");
-            if self.table.current(core) == Some(self.prog_id) {
-                // Already ours — nothing to claim.
-            } else if self.table.try_acquire_free(core, self.prog_id) {
-                self.trace.record(LANE_SHARED, RtEvent::Acquire { prog: self.prog_id, core });
-            } else if self.table.try_reclaim(core, self.prog_id) {
-                self.trace.record(LANE_SHARED, RtEvent::Reclaim { prog: self.prog_id, core });
-            } else {
+            if !self.legitimize(self.workers[w].core, LANE_SHARED) {
                 // No core for it right now; don't wake into an eviction.
                 // The doorbell makes the coordinator re-plan immediately
                 // instead of letting the surplus sit out the period.
@@ -205,6 +179,25 @@ impl Registry {
             }
         }
         self.wake_worker(w);
+    }
+
+    /// Makes `core` legitimately this program's under DWS exclusivity:
+    /// already ours, else a free-core acquire, else a reclaim of our own
+    /// released core — the grant traced on `lane`. Returns whether the
+    /// core is now ours. Callers mark their own `preempt_point` first.
+    fn legitimize(&self, core: usize, lane: u32) -> bool {
+        let prog = self.prog_id;
+        if self.table.current(core) == Some(prog) {
+            true
+        } else if self.table.try_acquire_free(core, prog) {
+            self.trace.record(lane, RtEvent::Acquire { prog, core });
+            true
+        } else if self.table.try_reclaim(core, prog) {
+            self.trace.record(lane, RtEvent::Reclaim { prog, core });
+            true
+        } else {
+            false
+        }
     }
 
     /// Stamps a task identity onto a job entering through the injector
@@ -340,7 +333,6 @@ impl Runtime {
             };
             ServingState::new(owned, handler)
         });
-        let knobs = Knobs::from_config(&config);
         let registry = Arc::new(Registry {
             config,
             effective_policy,
@@ -356,7 +348,6 @@ impl Runtime {
             detached: AtomicUsize::new(0),
             external_seq: AtomicU64::new(0),
             serving,
-            knobs,
         });
 
         let threads = deques
@@ -602,15 +593,6 @@ impl Runtime {
         res
     }
 
-    /// The live adaptive knob values — `(T_SLEEP, coordinator period,
-    /// steal-batch limit)`. Equal to the configured constants unless
-    /// [`crate::AdaptiveConfig`] is enabled and the controller has retuned
-    /// them (observability surface for `dws-top` and the benches).
-    pub fn knob_values(&self) -> (u32, Duration, usize) {
-        let k = &self.registry.knobs;
-        (k.t_sleep(), k.period(), k.steal_batch())
-    }
-
     /// One manual drain pass of the submission ring (tests, pumping
     /// without waiting out a coordinator period). Returns the number of
     /// requests admitted.
@@ -806,10 +788,7 @@ impl WorkerThread {
                     std::thread::yield_now();
                 }
                 Policy::Dws | Policy::DwsNc => {
-                    // The knob read, not the config: T_SLEEP may have been
-                    // retuned by the adaptive controller (one relaxed load
-                    // either way).
-                    if failed_steals > reg.knobs.t_sleep() {
+                    if failed_steals > reg.config.t_sleep {
                         failed_steals = 0;
                         self.go_to_sleep(false);
                     } else {
@@ -898,18 +877,7 @@ impl WorkerThread {
                     }
                     if reg.effective_policy == Policy::Dws {
                         preempt_point("worker-legitimize");
-                        let legit = if reg.table.current(core) == Some(reg.prog_id) {
-                            true
-                        } else if reg.table.try_acquire_free(core, reg.prog_id) {
-                            reg.trace.record(lane, RtEvent::Acquire { prog: reg.prog_id, core });
-                            true
-                        } else if reg.table.try_reclaim(core, reg.prog_id) {
-                            reg.trace.record(lane, RtEvent::Reclaim { prog: reg.prog_id, core });
-                            true
-                        } else {
-                            false
-                        };
-                        if !legit {
+                        if !reg.legitimize(core, lane) {
                             starved_timeouts += 1;
                             if starved_timeouts < STARVATION_GRACE {
                                 continue;
@@ -948,10 +916,10 @@ impl WorkerThread {
             return StealOutcome::Job(job);
         }
         // Bulk injector drain: one lock acquisition moves a chunk of
-        // injected work (ceil-half, capped by the live steal-batch knob) —
+        // injected work (ceil-half, capped by `steal_batch_limit`) —
         // the surplus parks in our own deque, where it is popped lock-free
         // next round and remains stealable by siblings.
-        let limit = self.registry.knobs.steal_batch();
+        let limit = self.registry.config.steal_batch_limit;
         if let Some(job) = self.registry.injector.steal_batch_and_pop(&self.deque, limit) {
             if !self.deque.is_empty() {
                 self.registry.wake_one_for_surplus();
@@ -975,6 +943,13 @@ impl WorkerThread {
         self.steal_from(|n, me| self.rng.victim_sweep(n, me))
     }
 
+    /// How many times a thief re-attempts the *same* victim after
+    /// `Steal::Retry` (a lost CAS race) before the attempt counts as
+    /// contended. CAS contention means the deque is *hot*, not empty —
+    /// counting it toward `T_SLEEP` would drive workers to sleep exactly
+    /// when work is plentiful.
+    const SAME_VICTIM_RETRIES: u32 = 2;
+
     /// One steal operation against one victim.
     ///
     /// Fast path: a victim with fewer than two observable tasks (or
@@ -986,9 +961,9 @@ impl WorkerThread {
     /// steal-path cache misses over the whole batch.
     ///
     /// A `Steal::Retry` (lost CAS race, deque non-empty) is retried on
-    /// the *same* victim up to `steal_retries` times: contention means
-    /// the deque is hot, and hopping victims or reporting failure would
-    /// misread demand (§3.3 / Eq. 1). Retries still exhausted surfaces as
+    /// the *same* victim up to `SAME_VICTIM_RETRIES` times: contention
+    /// means the deque is hot, and hopping victims or reporting failure
+    /// would misread demand (§3.3 / Eq. 1). Retries still exhausted surfaces as
     /// [`StealOutcome::Contended`], which the main loop keeps out of the
     /// failed-steal counter.
     fn steal_from(&self, pick: impl Fn(usize, usize) -> usize) -> StealOutcome {
@@ -999,12 +974,12 @@ impl WorkerThread {
         }
         let victim = pick(n, self.index);
         let stealer = &reg.workers[victim].stealer;
-        let batch_limit = reg.knobs.steal_batch();
+        let batch_limit = reg.config.steal_batch_limit;
         let batch = batch_limit > 1 && stealer.len() >= 2;
         // Latency timing and per-attempt events only while tracing: the
         // disabled hot path must not take timestamps.
         let t0 = if self.trace_on { Some(Instant::now()) } else { None };
-        let mut retries = reg.config.steal_retries;
+        let mut retries = Self::SAME_VICTIM_RETRIES;
         let (result, moved) = loop {
             let r = if batch {
                 let before = self.deque.len();
@@ -1248,7 +1223,6 @@ mod tests {
             });
         }
         let config = RuntimeConfig::new(n, policy);
-        let knobs = Knobs::from_config(&config);
         let programs_table = InProcessTable::new(n, programs);
         let registry = Arc::new(Registry {
             effective_policy: config.policy,
@@ -1265,7 +1239,6 @@ mod tests {
             detached: AtomicUsize::new(0),
             external_seq: AtomicU64::new(0),
             serving: None,
-            knobs,
         });
         (registry, deques)
     }

@@ -68,14 +68,6 @@ pub struct CoordSample {
     pub woken: u64,
     /// Total coordinator evaluations so far (monotone).
     pub decisions: u64,
-    /// Live `T_SLEEP` knob at decision time. The simulator has no
-    /// adaptive controller, so this reports the configured constant.
-    pub knob_t_sleep: u64,
-    /// Live coordinator decision period knob, µs (configured constant in
-    /// simulation).
-    pub knob_period_us: u64,
-    /// Live steal-batch limit knob (configured constant in simulation).
-    pub knob_steal_batch: u64,
 }
 
 /// Monotone counters at sample time.

@@ -35,9 +35,6 @@ fn rt_frame() -> dws_rt::TelemetryFrame {
             planned_reclaim: 2,
             woken: 2,
             decisions: 17,
-            knob_t_sleep: 16,
-            knob_period_us: 10_000,
-            knob_steal_batch: 8,
         },
         counters: dws_rt::CounterSample {
             steals_ok: 100,
@@ -112,9 +109,6 @@ fn sim_frame() -> dws_sim::TelemetryFrame {
             planned_reclaim: 2,
             woken: 2,
             decisions: 17,
-            knob_t_sleep: 16,
-            knob_period_us: 10_000,
-            knob_steal_batch: 8,
         },
         counters: dws_sim::CounterSample {
             steals_ok: 100,
