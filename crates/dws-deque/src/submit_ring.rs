@@ -37,8 +37,9 @@
 //!   is permanent (the ring gives up one slot per abandonment) because
 //!   recycling it would let the dead client's buffered payload writes
 //!   land in a *successor's* request; the publish is a CAS precisely so a
-//!   slow-but-alive client that loses this race gets a typed
-//!   [`SubmitError::Abandoned`] instead of silently corrupting the queue.
+//!   slow-but-alive client that loses this race notices instead of
+//!   silently corrupting the queue, and re-claims a fresh slot for the
+//!   same request. A stalled live client costs a slot, never a request.
 //!
 //! The memory layout is `#[repr(C)]` and position-independent
 //! (header + slot array, all `u64` words), so the same code runs over a
@@ -56,8 +57,8 @@ pub const EPOCH_FENCED: u64 = u64::MAX;
 /// on the same claimed-but-unpublished slot before abandoning the
 /// reservation. With the runtime draining once per coordinator period
 /// (10 ms) a wedged ring self-heals in well under a second; a live client
-/// merely slow between claim and publish for that long loses the race
-/// with a typed [`SubmitError::Abandoned`] rather than a corrupted slot.
+/// merely slow between claim and publish for that long loses its slot
+/// (not its request: [`SubmitRing::submit`] re-claims another).
 pub const ABANDON_AFTER_POLLS: u64 = 8;
 
 /// Tombstone sequence for a slot whose reservation was abandoned. Larger
@@ -90,7 +91,9 @@ pub enum SubmitError {
     Fenced,
     /// The consumer abandoned this client's slot reservation while the
     /// client stalled between claim and publish (it was presumed dead).
-    /// The request was *not* delivered; a live client should resubmit.
+    /// [`SubmitRing::submit`] no longer returns it — a submitter that
+    /// loses its slot this way re-claims another — but the variant stays
+    /// so that existing exhaustive matches on `SubmitError` still compile.
     Abandoned,
 }
 
@@ -117,7 +120,8 @@ struct Header {
     dropped: AtomicU64,
     /// Requests refused because the client's epoch was stale.
     fenced: AtomicU64,
-    /// Reservations abandoned (client died between claim and publish).
+    /// Reservations abandoned (client dead or stalled between claim and
+    /// publish).
     abandoned: AtomicU64,
     /// Consumer-side stall tracking: position + 1 of the claimed slot the
     /// head is currently stuck behind (0 = none). Occupies what used to be
@@ -305,7 +309,10 @@ impl SubmitRing {
     /// Submits one request under the client's registered `epoch`.
     ///
     /// Never blocks: a full ring or a stale epoch refuses immediately
-    /// (open-loop clients account the drop and move on).
+    /// (open-loop clients account the drop and move on). A submitter
+    /// stalled between claim and publish long enough for the consumer to
+    /// abandon its slot re-claims a fresh slot for the same request, so
+    /// `Ok` means delivered-once and every refusal is `Full` or `Fenced`.
     pub fn submit(&self, req: Request, epoch: u64) -> Result<(), SubmitError> {
         let h = self.hdr();
         if h.epoch.load(Ordering::Acquire) != epoch {
@@ -334,15 +341,24 @@ impl SubmitRing {
                         // plain store so the consumer's abandonment of a
                         // stalled reservation and a late publish race
                         // resolve atomically — exactly one side wins.
-                        return match slot.seq.compare_exchange(
-                            pos,
-                            pos + 1,
-                            Ordering::Release,
-                            Ordering::Relaxed,
-                        ) {
-                            Ok(_) => Ok(()),
-                            Err(_) => Err(SubmitError::Abandoned),
-                        };
+                        if slot
+                            .seq
+                            .compare_exchange(pos, pos + 1, Ordering::Release, Ordering::Relaxed)
+                            .is_ok()
+                        {
+                            return Ok(());
+                        }
+                        // Lost: this client was merely stalled (preempted)
+                        // past the patience window and the slot is a
+                        // tombstone now. Claim a fresh one for the same
+                        // request, re-checking the epoch first, so a live
+                        // client's stall costs a slot, never the request.
+                        if h.epoch.load(Ordering::Acquire) != epoch {
+                            h.fenced.fetch_add(1, Ordering::Relaxed);
+                            return Err(SubmitError::Fenced);
+                        }
+                        pos = h.tail.load(Ordering::Relaxed);
+                        skipped = 0;
                     }
                     Err(cur) => pos = cur,
                 }
@@ -770,16 +786,12 @@ mod tests {
                 std::thread::spawn(move || {
                     for i in 0..per {
                         let id = p as u64 * per + i;
-                        // Retry on Full (ring momentarily full) and on
-                        // Abandoned (this thread was preempted between
-                        // claim and publish long enough for the spinning
-                        // drainer to presume it dead — the documented
-                        // client response is to resubmit): this test wants
-                        // conservation of every request.
-                        while matches!(
-                            ring.submit(req(id), 0),
-                            Err(SubmitError::Full | SubmitError::Abandoned)
-                        ) {
+                        // Retry on Full (ring momentarily full): this test
+                        // wants conservation of every request. A producer
+                        // preempted between claim and publish long enough
+                        // for the spinning drainer to abandon its slot is
+                        // re-claimed inside `submit`, not retried here.
+                        while ring.submit(req(id), 0) == Err(SubmitError::Full) {
                             std::hint::spin_loop();
                         }
                     }

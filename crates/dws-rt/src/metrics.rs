@@ -326,7 +326,8 @@ pub struct RtMetrics {
     /// a crash/re-register), mirrored from the ring's counter.
     pub requests_fenced: AtomicU64,
     /// Reserved-but-never-published ring slots the consumer abandoned
-    /// (client died mid-publish), mirrored from the ring's counter.
+    /// (client dead or stalled between claim and publish), mirrored from
+    /// the ring's counter.
     pub requests_abandoned: AtomicU64,
     /// Times this runtime discovered its own lease fenced/recycled while
     /// it was stalled (zombie fencing tripped).
@@ -397,7 +398,8 @@ pub struct MetricsSnapshot {
     pub requests_dropped: u64,
     /// Submissions rejected by epoch fencing (mirrored from the ring).
     pub requests_fenced: u64,
-    /// Abandoned mid-publish reservations (mirrored from the ring).
+    /// Reservations abandoned with the client dead or stalled between
+    /// claim and publish (mirrored from the ring).
     pub requests_abandoned: u64,
     /// Own-lease fence discoveries (zombie fencing tripped).
     pub zombies_fenced: u64,

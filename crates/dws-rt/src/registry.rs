@@ -105,7 +105,14 @@ impl Registry {
     }
 
     /// Indices of currently sleeping workers.
+    ///
+    /// The `SeqCst` fence orders the caller's earlier publication of work
+    /// (an injector push) before this scan. It pairs with the fence a
+    /// worker runs after flagging itself asleep and before its
+    /// stay-awake re-check (`go_to_sleep`), so a job pushed just as a
+    /// worker settles in is seen by at least one of the two.
     pub(crate) fn sleeping_workers(&self) -> Vec<usize> {
+        std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst);
         (0..self.workers.len()).filter(|&i| self.workers[i].sleeper.is_sleeping()).collect()
     }
 
@@ -844,8 +851,26 @@ impl WorkerThread {
             reg.trace
                 .record(lane, RtEvent::Sleep { worker: self.index, evicted: evicted && first });
             first = false;
+            // Work published after our last look but before the flag
+            // went up found us awake, so its pusher woke nobody: run it
+            // on a core we can legitimately hold, or else have our
+            // coordinator re-plan now instead of at its next period.
+            let stay_awake = || {
+                if reg.queued_jobs() == 0 {
+                    return false;
+                }
+                if reg.effective_policy != Policy::Dws {
+                    return true;
+                }
+                preempt_point("sleep-entry-legitimize");
+                if reg.legitimize(core, lane) {
+                    return true;
+                }
+                reg.ring_doorbell(reg.prog_id, DOORBELL_DEMAND);
+                false
+            };
             let (reason, slept) =
-                reg.workers[self.index].sleeper.sleep_timed(reg.config.sleep_timeout);
+                reg.workers[self.index].sleeper.sleep_timed(reg.config.sleep_timeout, stay_awake);
             RtMetrics::bump(&reg.metrics.wakes);
             {
                 // Wake counter + duration sample publish together; the

@@ -46,13 +46,36 @@ impl Sleeper {
     /// Blocks the calling worker until woken or until `timeout` elapses
     /// (if provided). Returns why it resumed.
     pub fn sleep(&self, timeout: Option<Duration>) -> WakeReason {
+        self.sleep_unless(timeout, || false)
+    }
+
+    /// As [`Sleeper::sleep`], but once the worker is flagged asleep it
+    /// asks `stay_awake` whether to skip the sleep after all (returning
+    /// [`WakeReason::Woken`] without blocking).
+    ///
+    /// This closes the lost-wake window between a worker's last look for
+    /// work and its sleep: a waker that publishes work and *then* scans
+    /// for sleepers behind a `SeqCst` fence (as the runtime's
+    /// `Registry::sleeping_workers` does) either sees this worker asleep
+    /// and wakes it, or `stay_awake` — called after the flag store and a
+    /// `SeqCst` fence — sees the work.
+    pub fn sleep_unless(
+        &self,
+        timeout: Option<Duration>,
+        stay_awake: impl FnOnce() -> bool,
+    ) -> WakeReason {
         let mut permit = self.permit.lock();
         if *permit {
             // A wake raced ahead of us; consume it and do not block.
             *permit = false;
             return WakeReason::Woken;
         }
-        self.sleeping.store(true, Ordering::Release);
+        self.sleeping.store(true, Ordering::SeqCst);
+        std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst);
+        if stay_awake() {
+            self.sleeping.store(false, Ordering::Release);
+            return WakeReason::Woken;
+        }
         let reason = loop {
             match timeout {
                 Some(t) => {
@@ -72,12 +95,16 @@ impl Sleeper {
         reason
     }
 
-    /// As [`Sleeper::sleep`], also measuring how long the call blocked
+    /// As [`Sleeper::sleep_unless`], also measuring how long the call blocked
     /// (for the sleep-duration histogram; a consumed pre-delivered permit
     /// reports a near-zero duration).
-    pub fn sleep_timed(&self, timeout: Option<Duration>) -> (WakeReason, Duration) {
+    pub fn sleep_timed(
+        &self,
+        timeout: Option<Duration>,
+        stay_awake: impl FnOnce() -> bool,
+    ) -> (WakeReason, Duration) {
         let t0 = std::time::Instant::now();
-        let reason = self.sleep(timeout);
+        let reason = self.sleep_unless(timeout, stay_awake);
         (reason, t0.elapsed())
     }
 
@@ -107,6 +134,19 @@ mod tests {
         }
         s.wake();
         assert_eq!(h.join().unwrap(), WakeReason::Woken);
+        assert!(!s.is_sleeping());
+    }
+
+    #[test]
+    fn stay_awake_skips_the_sleep_after_flagging_it() {
+        let s = Sleeper::new();
+        let t0 = Instant::now();
+        let reason = s.sleep_unless(Some(Duration::from_secs(5)), || {
+            assert!(s.is_sleeping(), "re-check must run with the flag up");
+            true
+        });
+        assert_eq!(reason, WakeReason::Woken);
+        assert!(t0.elapsed() < Duration::from_millis(500), "must not block");
         assert!(!s.is_sleeping());
     }
 
@@ -146,11 +186,11 @@ mod tests {
     #[test]
     fn sleep_timed_reports_duration() {
         let s = Sleeper::new();
-        let (reason, dur) = s.sleep_timed(Some(Duration::from_millis(20)));
+        let (reason, dur) = s.sleep_timed(Some(Duration::from_millis(20)), || false);
         assert_eq!(reason, WakeReason::TimedOut);
         assert!(dur >= Duration::from_millis(15));
         s.wake();
-        let (reason, dur) = s.sleep_timed(Some(Duration::from_secs(5)));
+        let (reason, dur) = s.sleep_timed(Some(Duration::from_secs(5)), || false);
         assert_eq!(reason, WakeReason::Woken);
         assert!(dur < Duration::from_millis(500));
     }

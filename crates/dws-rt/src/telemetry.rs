@@ -19,10 +19,6 @@
 //!   file-sink format of the harness binaries;
 //! * `dws-top` (in `dws-harness`) — a live ANSI terminal view.
 //!
-//! The frame schema is mirrored field-for-field by `dws_sim::telemetry`,
-//! so simulated and real co-runs emit byte-identical JSON for identical
-//! content (verified by the `telemetry_mirror` integration test).
-//!
 //! Overhead budget: sampling is off the hot path entirely — the sampler
 //! thread reads the same relaxed atomics the workers write, at 100 Hz.
 //! One frame costs one pass over `k` table slots plus `w` shard
@@ -140,8 +136,8 @@ pub struct CounterSample {
     pub requests_dropped: u64,
     /// External requests refused for a stale client epoch.
     pub requests_fenced: u64,
-    /// Ring reservations abandoned by the consumer (client died between
-    /// reserve and publish).
+    /// Ring reservations abandoned by the consumer (client dead or
+    /// stalled between claim and publish).
     pub requests_abandoned: u64,
     /// Times this program found its own lease fenced/recycled (zombie
     /// fencing tripped).
@@ -211,12 +207,11 @@ pub struct LatencySample {
 /// instant — core occupancy, worker states, demand/supply, counters and
 /// rolling latency percentiles.
 ///
-/// Field order is part of the wire format: `dws_sim::telemetry` declares
-/// the identical struct and the two serialize byte-identically.
+/// Field order is part of the wire format: it fixes the key order of
+/// every JSON sink.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TelemetryFrame {
-    /// Microseconds since the process trace epoch (real time) or the
-    /// simulated clock (sim).
+    /// Microseconds since the process trace epoch.
     pub t_us: u64,
     /// Emitting program id.
     pub prog: usize,
@@ -649,7 +644,7 @@ pub fn render_prometheus(frames: &[(String, TelemetryFrame)]) -> String {
         }),
         (
             "dws_requests_abandoned_total",
-            "Ring reservations abandoned by the consumer (client died mid-publish).",
+            "Ring reservations abandoned by the consumer (client dead or stalled between claim and publish).",
             |c| c.requests_abandoned,
         ),
         (

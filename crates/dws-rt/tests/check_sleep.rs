@@ -111,6 +111,60 @@ fn real_sleeper_timeout_vs_wake_resolves_exactly_once() {
 }
 
 #[test]
+fn real_sleeper_stay_awake_recheck_never_strands_work() {
+    // A publisher pushes work and then wakes the worker only if it sees
+    // it asleep; the worker re-checks for work after flagging itself
+    // asleep. In every schedule one of the two must notice the other:
+    // the sleep ends Woken, never by the timeout. Both resolutions (the
+    // re-check finds the work; the publisher's wake lands) must be
+    // reached. Exhaustive.
+    let rechecked = Arc::new(StdAtomicUsize::new(0));
+    let woken = Arc::new(StdAtomicUsize::new(0));
+    let (rc2, wo2) = (Arc::clone(&rechecked), Arc::clone(&woken));
+    let report = explore_dfs(&CheckOptions::default(), 5_000, move |env: &Env, _seed| {
+        let s = Arc::new(Sleeper::new());
+        let work = Arc::new(dws_check::sync::AtomicBool::new(false));
+        {
+            let (s2, work2) = (Arc::clone(&s), Arc::clone(&work));
+            env.spawn("publisher", move || {
+                work2.store(true, StdOrdering::SeqCst);
+                if s2.is_sleeping() {
+                    s2.wake();
+                }
+            });
+        }
+        let outcome = Arc::new(StdMutex::new(None));
+        {
+            let out = Arc::clone(&outcome);
+            env.spawn("sleeper", move || {
+                let mut saw_work = false;
+                let r = s.sleep_unless(Some(Duration::from_nanos(400_000)), || {
+                    saw_work = work.load(StdOrdering::SeqCst);
+                    saw_work
+                });
+                *out.lock().unwrap() = Some((r, saw_work));
+            });
+        }
+        let (rc, wo) = (Arc::clone(&rc2), Arc::clone(&wo2));
+        move |clean: bool| {
+            let error = match *outcome.lock().unwrap() {
+                _ if !clean => None,
+                Some((WakeReason::Woken, saw_work)) => {
+                    let hits = if saw_work { &rc } else { &wo };
+                    hits.fetch_add(1, StdOrdering::Relaxed);
+                    None
+                }
+                other => Some(format!("published work stranded a sleeper: {other:?}")),
+            };
+            PostCheck { events: Vec::new(), error }
+        }
+    });
+    assert!(matches!(report.outcome, Outcome::Pass), "{:?}", report.failing());
+    assert!(rechecked.load(StdOrdering::Relaxed) > 0, "re-check path never explored");
+    assert!(woken.load(StdOrdering::Relaxed) > 0, "publisher-wake path never explored");
+}
+
+#[test]
 fn real_sleeper_survives_fault_injection() {
     // Delayed and spurious wake delivery must not break the permit
     // protocol: a spurious wake without a permit re-sleeps, a delayed

@@ -88,7 +88,10 @@ fn non_serving_runtime_has_no_ring() {
 #[test]
 fn full_ring_sheds_and_counts_drops() {
     // Tiny ring, manual pumping only: fill it, watch the overflow drop.
-    let mut cfg = RuntimeConfig::new(2, Policy::Ws).with_serving_geometry(4, 64);
+    // Polling-only, or the submit doorbell would wake the coordinator to
+    // drain the ring between the submits below.
+    let mut cfg =
+        RuntimeConfig::new(2, Policy::Ws).with_serving_geometry(4, 64).with_polling_only();
     cfg.coordinator_period = Duration::from_secs(3600); // never drains on its own
     let rt = Runtime::serve(cfg, |_req| {});
     for i in 0..4 {
@@ -175,4 +178,51 @@ fn shm_ring_serves_requests_from_another_mapping() {
     assert_eq!(rt.metrics().requests_admitted, n);
     drop(rt);
     std::fs::remove_file(&path).unwrap();
+}
+
+/// Frames sampled from a live two-program serving co-run carry the
+/// request counters, and every one survives the JSONL sink and a
+/// `serde_json` parse byte for byte.
+#[test]
+fn sampled_serving_frames_count_admissions_and_round_trip_through_jsonl() {
+    let table: Arc<dyn CoreTable> = Arc::new(dws_rt::InProcessTable::new(2, 2));
+    let mk = || {
+        let mut cfg = RuntimeConfig::new(2, Policy::Dws)
+            .with_telemetry()
+            .with_telemetry_tick(Duration::from_millis(2));
+        cfg.coordinator_period = Duration::from_millis(2);
+        cfg.sleep_timeout = Some(Duration::from_millis(4));
+        cfg
+    };
+    // p0 serves external requests; p1 is a plain co-runner.
+    let p0 = Runtime::serve_with_table(mk(), Arc::clone(&table), 0, |req| {
+        std::hint::black_box(req.demand_us);
+    });
+    let p1 = Runtime::with_table(mk(), table, 1);
+    for i in 0..32 {
+        p0.submit(i, 10).unwrap();
+    }
+    // Pump until the ring is empty (the coordinator also drains; either
+    // path bumps the same admission counter).
+    while !p0.submission_ring().unwrap().is_empty() {
+        p0.drain_submissions();
+        std::thread::yield_now();
+    }
+    let sum = p0.block_on(|| (1..=2000u64).sum::<u64>());
+    let prod = p1.block_on(|| (1..=10u64).product::<u64>());
+    assert_eq!((sum, prod), (2_001_000, 3_628_800));
+    let handle = p0.telemetry("p0");
+    drop(p0); // shutdown flushes a final frame
+    drop(p1);
+    let frames = handle.frames();
+    assert!(!frames.is_empty(), "sampler left no frames");
+    let last = frames.last().unwrap();
+    assert_eq!(last.counters.requests_admitted, 32, "every submitted request admitted");
+    let text = dws_rt::frames_to_jsonl(&frames);
+    assert_eq!(text.lines().count(), frames.len(), "one JSONL line per frame");
+    for (line, f) in text.lines().zip(&frames) {
+        assert_eq!(line, serde_json::to_string(f).unwrap());
+        let parsed: dws_rt::TelemetryFrame = serde_json::from_str(line).unwrap();
+        assert_eq!(serde_json::to_string(&parsed).unwrap(), line);
+    }
 }

@@ -59,7 +59,6 @@ pub mod os;
 pub mod policy;
 pub mod program;
 pub mod rng;
-pub mod telemetry;
 pub mod trace;
 pub mod workload;
 
@@ -76,9 +75,5 @@ pub use machine::{
 pub use metrics::ProgramMetrics;
 pub use policy::Policy;
 pub use rng::XorShift64Star;
-pub use telemetry::{
-    frames_to_jsonl, CoordSample, CoreSample, CounterSample, LatencySample, TelemetryFrame,
-    WorkerSample,
-};
 pub use trace::{SchedEvent, Trace, TraceEvent};
 pub use workload::{PhaseSpec, WorkloadSpec};

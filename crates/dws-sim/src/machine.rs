@@ -15,10 +15,6 @@ use crate::os::{Os, SliceResult, ThreadId};
 use crate::policy::Policy;
 use crate::program::{SimProgram, StepOutcome, WorkerState};
 use crate::rng::XorShift64Star;
-use crate::telemetry::{
-    CoordSample, CoreSample, CounterSample, LatencySample, SimTelemetry, TelemetryFrame,
-    WorkerSample,
-};
 use crate::trace::{SchedEvent, Trace};
 use crate::workload::WorkloadSpec;
 
@@ -215,7 +211,6 @@ pub struct Simulator {
     pending_wakes: Vec<(SimTime, ThreadId)>,
     trace: Trace,
     traced_runs: Vec<usize>,
-    telemetry: Option<SimTelemetry>,
     /// Scheduled program deaths: (due time, program) — the sim analogue
     /// of SIGKILL mid-run.
     pending_kills: Vec<(SimTime, usize)>,
@@ -326,7 +321,6 @@ impl Simulator {
             pending_wakes: Vec::new(),
             trace: Trace::default(),
             traced_runs: vec![0; m],
-            telemetry: None,
             pending_kills: Vec::new(),
             dead: vec![false; m],
             fenced: vec![false; m],
@@ -407,26 +401,6 @@ impl Simulator {
         &self.trace
     }
 
-    /// Turns on telemetry-frame sampling: every `period_us` of simulated
-    /// time the simulator snapshots one [`TelemetryFrame`] per program
-    /// into a ring of at most `capacity` frames (oldest evicted first) —
-    /// the sim mirror of `dws_rt`'s sampler thread.
-    pub fn enable_telemetry(&mut self, period_us: SimTime, capacity: usize) {
-        self.telemetry =
-            Some(SimTelemetry::new(self.programs.len(), period_us, capacity, self.now));
-    }
-
-    /// The sampled frames for `prog`, oldest first (empty unless
-    /// [`Simulator::enable_telemetry`] was called).
-    pub fn telemetry_frames(&self, prog: usize) -> Vec<TelemetryFrame> {
-        self.telemetry.as_ref().map_or_else(Vec::new, |tel| tel.frames(prog))
-    }
-
-    /// The most recent sampled frame for `prog`, if any.
-    pub fn latest_frame(&self, prog: usize) -> Option<TelemetryFrame> {
-        self.telemetry.as_ref().and_then(|tel| tel.latest(prog))
-    }
-
     /// Events discarded after the trace capacity was reached (0 when
     /// tracing is off). A nonzero value means analyses over
     /// [`Simulator::trace`] see a truncated history — raise the
@@ -500,121 +474,10 @@ impl Simulator {
             }
         }
 
-        self.sample_telemetry(now);
-
         #[cfg(debug_assertions)]
         self.table.check_invariants(self.programs.len());
         #[cfg(debug_assertions)]
         self.ledger.check_conservation(&self.table, now);
-    }
-
-    /// Emits one telemetry frame per program when the sampling period has
-    /// elapsed (no-op with telemetry off). Runs at the end of the tick so
-    /// frames see the tick's completed work.
-    fn sample_telemetry(&mut self, now: SimTime) {
-        // Take the sampler out of `self` so capturing can read program and
-        // table state while the rings are borrowed mutably.
-        let Some(mut tel) = self.telemetry.take() else { return };
-        if now >= tel.next_sample_us {
-            while tel.next_sample_us <= now {
-                tel.next_sample_us += tel.period_us;
-            }
-            self.capture_frames(&mut tel, now);
-        }
-        self.telemetry = Some(tel);
-    }
-
-    fn capture_frames(&self, tel: &mut SimTelemetry, now: SimTime) {
-        // One shared trace ⇒ one global drop count, repeated per frame.
-        let dropped = self.trace.dropped();
-        let cores: Vec<CoreSample> = (0..self.table.cores())
-            .map(|c| CoreSample {
-                core: c,
-                home: self.table.home(c),
-                owner: match self.table.slot(c) {
-                    Slot::Free => -1,
-                    Slot::Used(p) => p as i64,
-                },
-            })
-            .collect();
-        let (ledger_us, _free_us) = self.ledger.settled(&self.table, now);
-        for (p, prog) in self.programs.iter().enumerate() {
-            let workers: Vec<WorkerSample> = prog
-                .workers
-                .iter()
-                .enumerate()
-                .map(|(w, wk)| WorkerSample {
-                    worker: w,
-                    asleep: !wk.awake,
-                    queue: prog.deques[w].len(),
-                })
-                .collect();
-            let pt = &mut tel.progs[p];
-            let coord = CoordSample { decisions: pt.decisions, ..pt.last_coord };
-            // Demand-latency percentiles over this frame's window only,
-            // mirroring the rt sampler's rolling histogram diff — but
-            // exact-µs nearest-rank here rather than log2 bucket bounds.
-            let alloc = &self.ledger.alloc_latency_ns(p)[pt.alloc_seen..];
-            let release = &self.ledger.release_latency_ns(p)[pt.release_seen..];
-            pt.alloc_seen += alloc.len();
-            pt.release_seen += release.len();
-            let latency = LatencySample {
-                alloc_p50_ns: quantile_nearest(alloc, 0.5),
-                alloc_p99_ns: quantile_nearest(alloc, 0.99),
-                release_p50_ns: quantile_nearest(release, 0.5),
-                release_p99_ns: quantile_nearest(release, 0.99),
-                // The µs-resolution event model has no ns task/steal
-                // histograms; those stay zero in simulation.
-                ..LatencySample::default()
-            };
-            let m = &prog.metrics;
-            let counters = CounterSample {
-                steals_ok: m.steals_ok,
-                steals_failed: m.steals_failed,
-                jobs_executed: m.tasks_executed,
-                sleeps: m.sleeps,
-                wakes: m.wakes,
-                yields: m.yields,
-                coordinator_runs: m.coordinator_runs,
-                cores_acquired: m.cores_acquired,
-                cores_reclaimed: m.cores_reclaimed,
-                cores_released: m.cores_released,
-                events_dropped: dropped,
-                frames_evicted: pt.evicted(),
-                cores_reaped: m.cores_reaped,
-                leases_expired: m.leases_expired,
-                degraded: 0, // the simulated table has no file to lose
-                tasks_stolen: m.tasks_stolen,
-                steals_contended: 0, // serialized steals never lose a CAS race
-                // The sim has no cross-process submission ring; its
-                // arrival model drives the harness generator instead.
-                requests_admitted: 0,
-                requests_dropped: 0,
-                requests_fenced: 0,
-                requests_abandoned: 0,
-                // Zombie/rearm transitions live in the dws-check model in
-                // virtual time, not in this machine.
-                zombies_fenced: 0,
-                leases_rearmed: 0,
-                // The sim coordinator ticks in virtual time; no futex
-                // doorbells exist to ring.
-                doorbell_wakes: 0,
-                core_us_total: ledger_us[p],
-            };
-            tel.push(
-                p,
-                TelemetryFrame {
-                    t_us: now,
-                    prog: p,
-                    seq: 0, // assigned by the ring
-                    cores: cores.clone(),
-                    workers,
-                    coord,
-                    counters,
-                    latency,
-                },
-            );
-        }
     }
 
     /// Applies due program kills. SIGKILL semantics: the victim's threads
@@ -737,14 +600,6 @@ impl Simulator {
             };
             match self.programs[p].sched.policy {
                 Policy::Dws => {
-                    // Table supply, captured before the decision consumes
-                    // it — the decision type keeps `N_f`/`N_r` internal.
-                    let telemetry_on = self.telemetry.is_some();
-                    let (n_f, n_r) = if telemetry_on {
-                        (self.table.n_free(), self.table.n_reclaimable(p))
-                    } else {
-                        (0, 0)
-                    };
                     let decision = decide_dws(p, obs, &self.table, &mut self.rng);
                     self.trace.record(
                         now,
@@ -787,21 +642,6 @@ impl Simulator {
                     } else if obs.active_workers > 0 {
                         self.ledger.note_fall(p, now);
                     }
-                    if let Some(tel) = self.telemetry.as_mut() {
-                        let pt = &mut tel.progs[p];
-                        pt.decisions += 1;
-                        pt.last_coord = CoordSample {
-                            n_b: obs.queued_tasks as u64,
-                            n_a: obs.active_workers as u64,
-                            n_f: n_f as u64,
-                            n_r: n_r as u64,
-                            n_w: decision.n_w as u64,
-                            planned_free: decision.take_free.len() as u64,
-                            planned_reclaim: decision.reclaim.len() as u64,
-                            woken,
-                            decisions: 0, // running count kept separately
-                        };
-                    }
                 }
                 Policy::DwsNc => {
                     let n = decide_nc(obs);
@@ -814,7 +654,6 @@ impl Simulator {
                             n_w: n,
                         },
                     );
-                    let mut woken = 0u64;
                     if n > 0 {
                         let mut sleeping = self.programs[p].sleeping_workers();
                         // Random subset.
@@ -823,25 +662,9 @@ impl Simulator {
                             sleeping.swap(i, j);
                         }
                         sleeping.truncate(n);
-                        woken = sleeping.len() as u64;
                         for w in sleeping {
                             self.schedule_wake(p, w, now);
                         }
-                    }
-                    if let Some(tel) = self.telemetry.as_mut() {
-                        let pt = &mut tel.progs[p];
-                        pt.decisions += 1;
-                        pt.last_coord = CoordSample {
-                            n_b: obs.queued_tasks as u64,
-                            n_a: obs.active_workers as u64,
-                            n_f: 0, // no table in the ablation
-                            n_r: 0,
-                            n_w: n as u64,
-                            planned_free: 0,
-                            planned_reclaim: 0,
-                            woken,
-                            decisions: 0,
-                        };
                     }
                 }
                 _ => unreachable!("coordinator on non-coordinated policy"),
@@ -1137,7 +960,7 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_frames_track_a_dws_corun() {
+    fn dws_corun_ledger_conserves_core_time_and_grants_cost_a_wake() {
         let cfg = small_machine();
         let mut sim = Simulator::new(
             cfg,
@@ -1146,43 +969,8 @@ mod tests {
                 spec(wave_workload("b", 10, 4, 60.0, 100.0), Policy::Dws, 4),
             ],
         );
-        sim.enable_telemetry(10_000, 1024);
         while sim.now() < 500_000 {
             sim.tick();
-        }
-        for p in 0..2 {
-            let frames = sim.telemetry_frames(p);
-            assert!(frames.len() >= 40, "expected ~50 frames, got {}", frames.len());
-            for pair in frames.windows(2) {
-                let (a, b) = (&pair[0], &pair[1]);
-                assert_eq!(b.seq, a.seq + 1, "monotone seq");
-                assert!(b.t_us > a.t_us, "monotone timestamps");
-                assert!(b.counters.jobs_executed >= a.counters.jobs_executed);
-                assert!(b.counters.coordinator_runs >= a.counters.coordinator_runs);
-                assert!(b.coord.decisions >= a.coord.decisions);
-            }
-            let last = sim.latest_frame(p).unwrap();
-            assert_eq!(last.prog, p);
-            assert_eq!(last.cores.len(), 4);
-            for c in &last.cores {
-                assert_eq!(c.home, sim.alloc_table().home(c.core));
-                assert!(c.owner == -1 || (c.owner >= 0 && c.owner < 2));
-            }
-            assert_eq!(last.workers.len(), 4);
-            assert!(last.coord.decisions > 0, "coordinator decisions captured");
-            // The coordinator plan never exceeds the observed supply.
-            assert!(last.coord.planned_free <= last.coord.n_f);
-            assert!(last.coord.planned_reclaim <= last.coord.n_r);
-            // Steal/task histograms stay zero in the µs event model, but
-            // the demand-latency quantiles are live: p99 bounds p50.
-            assert_eq!(last.latency.steal_p50_ns, 0);
-            assert!(last.latency.alloc_p99_ns >= last.latency.alloc_p50_ns);
-            assert!(last.latency.release_p99_ns >= last.latency.release_p50_ns);
-            // The ledger feeds frames: by 500 ms each program has been
-            // charged some core time, and no program exceeds the machine.
-            assert!(last.counters.core_us_total > 0, "ledger core time flows into frames");
-            assert!(last.counters.core_us_total <= 4 * last.t_us);
-            assert_eq!(last.counters.frames_evicted, 0);
         }
         // Conservation across the whole co-run: settled per-program time
         // plus free time tiles cores × elapsed exactly.
@@ -1199,28 +987,6 @@ mod tests {
                 assert!(ns >= 1_000, "a grant costs at least the wake path: {ns}ns");
             }
         }
-    }
-
-    #[test]
-    fn telemetry_ring_eviction_is_surfaced() {
-        let cfg = small_machine();
-        let mut sim = Simulator::new(
-            cfg,
-            vec![
-                spec(rec_workload("a", 5, 80.0, 0.4), Policy::Dws, 4),
-                spec(rec_workload("b", 5, 80.0, 0.4), Policy::Dws, 4),
-            ],
-        );
-        sim.enable_telemetry(10_000, 4);
-        while sim.now() < 200_000 {
-            sim.tick();
-        }
-        let frames = sim.telemetry_frames(0);
-        assert_eq!(frames.len(), 4, "ring holds at most its capacity");
-        assert!(
-            sim.latest_frame(0).unwrap().counters.frames_evicted > 0,
-            "evictions show up in the frame counters"
-        );
     }
 
     #[test]
@@ -1291,7 +1057,6 @@ mod tests {
             ],
         );
         sim.enable_tracing(1 << 20);
-        sim.enable_telemetry(10_000, 4096);
         sim.kill_program_at(1, 100_000);
         while sim.now() < 1_000_000 {
             sim.tick();
@@ -1318,12 +1083,6 @@ mod tests {
             };
             assert_eq!(*replayed, live, "core {c}");
         }
-
-        // The reap counters reach telemetry; the sim never degrades.
-        let last = sim.latest_frame(0).unwrap();
-        assert_eq!(last.counters.leases_expired, 1);
-        assert!(last.counters.cores_reaped >= 1);
-        assert_eq!(last.counters.degraded, 0);
     }
 
     #[test]
